@@ -53,7 +53,10 @@ def run_partitioned(use_trunk: bool, mode="strict", sampler=False,
         sim.add(comp)
     for ea, eb in pb.channels:
         sim.connect(ea, eb)
-    samp = StrictModeSampler(pb.all_components(), interval=500) if sampler else None
+    samp = None
+    if sampler:
+        samp = StrictModeSampler(pb.all_components(), interval=500)
+        sim.observers.append(samp)
     t0 = time.perf_counter()
     stats = sim.run(until)
     wall = time.perf_counter() - t0
@@ -61,7 +64,7 @@ def run_partitioned(use_trunk: bool, mode="strict", sampler=False,
                 for end in comp.ends)
     delivered = [pb.host(f"rcv{i}").apps[0].delivered for i in range(3)]
     return dict(stats=stats, wall=wall, syncs=syncs, delivered=delivered,
-                pb=pb, sim=sim)
+                pb=pb, sim=sim, samp=samp)
 
 
 def test_ablation_trunk_adapter(benchmark):
@@ -120,6 +123,8 @@ def test_ablation_profiler_overhead(benchmark):
                   sum(without["delivered"])]])
     save_results("ablation_profiler_overhead", {
         "with": with_prof["wall"], "without": without["wall"]})
+    # the "on" arm really profiled
+    assert len(with_prof["samp"].log) > 0
     # results unchanged; overhead below 50% even in this interpreter
     assert with_prof["delivered"] == without["delivered"]
     assert with_prof["wall"] < 2.0 * max(without["wall"], 0.05)

@@ -320,15 +320,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                   file=sys.stderr)
             return 1
     names = sorted(RUNNERS) if args.bench == "all" else [args.bench]
+    if args.fluid and "netsim" not in names:
+        print("error: --fluid extends the netsim family "
+              "(splitsim-bench netsim --fluid)", file=sys.stderr)
+        return 2
     results: List[BenchResult] = []
     for name in names:
         results.extend(RUNNERS[name](args.scale, args.repeat,
                                      not args.no_alloc))
     if args.fluid:
-        if "netsim" not in names:
-            print("error: --fluid extends the netsim family "
-                  "(splitsim-bench netsim --fluid)", file=sys.stderr)
-            return 2
         results.extend(_run_fluid(args.scale, args.repeat, not args.no_alloc))
     doc = results_doc(args.bench, results)
     for r in results:

@@ -30,8 +30,8 @@ from ..channels.channel import (ChannelEnd, set_transport_batching,
 from ..channels.messages import MmioMsg, RawMsg
 from ..kernel.component import Component
 from ..kernel.simtime import NS, US
-from ..parallel.procrunner import (ProcChannel, ProcSpec, ProcessRunner,
-                                   timeline_digest)
+from ..obs.audit import DEFAULT_WINDOW_PS, AuditRecorder
+from ..parallel.procrunner import ProcChannel, ProcSpec, ProcessRunner
 from ..parallel.shm_ring import ShmRing
 from ..parallel.simulation import Simulation
 
@@ -105,18 +105,21 @@ def _build_inproc(n: int, tokens: int) -> Tuple[Simulation, list]:
     return sim, comps
 
 
+def _run_inproc_audited(n: int, until_ps: int, tokens: int,
+                        window_ps: int) -> AuditRecorder:
+    sim, comps = _build_inproc(n, tokens)
+    recorder = AuditRecorder(comps, window_ps=window_ps)
+    sim.observers.append(recorder)
+    sim.run(until_ps)
+    return recorder
+
+
 def inproc_strict_digests(n: int, until_ps: int,
                           tokens: int = TOKENS) -> Dict[str, str]:
     """Per-component timeline digests of the strict in-process run."""
-    sim, comps = _build_inproc(n, tokens)
-    timelines: Dict[str, List[int]] = {c.name: [] for c in comps}
-    sim._wire()
-    for c in comps:
-        c.queue.trace = (lambda owner, ts, tl=timelines[c.name]:
-                         tl.append(ts))
-    sim._run_strict(until_ps)
-    return {name: timeline_digest(name, tl)
-            for name, tl in timelines.items()}
+    recorder = _run_inproc_audited(n, until_ps, tokens, DEFAULT_WINDOW_PS)
+    return {name: auditor.timeline_digest()
+            for name, auditor in recorder.auditors.items()}
 
 
 def mp_digests(n: int, until_ps: int, tokens: int = TOKENS,
@@ -136,12 +139,7 @@ AUDIT_WINDOW_PS = 5 * US
 def inproc_audit_ledger(n: int, until_ps: int, tokens: int = TOKENS,
                         window_ps: int = AUDIT_WINDOW_PS):
     """Audit ledger of the strict in-process pipeline run."""
-    from ..obs.audit import AuditRecorder
-    sim, comps = _build_inproc(n, tokens)
-    sim._wire()
-    recorder = AuditRecorder(comps, window_ps=window_ps)
-    sim.audit = recorder
-    sim._run_strict(until_ps)
+    recorder = _run_inproc_audited(n, until_ps, tokens, window_ps)
     return recorder.to_ledger(mode="strict")
 
 

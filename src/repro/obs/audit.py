@@ -2,8 +2,8 @@
 
 The determinism guard pins one SHA-256 over the *entire* event timeline
 (per-component ``name:ts,ts,...;`` payloads folded in sorted-name order —
-the ``GOLDEN_DIGEST`` of ``tests/test_determinism_guard.py`` and the
-per-component :func:`repro.parallel.procrunner.timeline_digest`).  That
+the ``GOLDEN_DIGEST`` of ``tests/test_determinism_guard.py``; one
+component's payload hashes to its :func:`timeline_digest`).  That
 single hash proves *that* two runs diverged; this module records *where*:
 a streaming ledger of per-component, per-epoch subdigests that
 ``splitsim-inspect diff`` walks to the first divergent
@@ -33,10 +33,16 @@ events" semantics.  Auditing is observation only (one list-append per
 event on an already-existing kernel trace hook), so the root equals
 ``GOLDEN_DIGEST`` with auditing on or off.
 
-Sampling points mirror the epoch timeline (:mod:`repro.obs.timeline`):
-the strict in-process coordinator flushes closed windows at sync-round
-boundaries (:meth:`AuditRecorder.on_round`); multiprocess children flush
-on telemetry heartbeats, piggyback the closed rows on the
+This is the one event digest: in-process auditing and a multiprocess
+child run with ``digest=True``, ``audit_path`` or both all record one
+:class:`ComponentAuditor` buffer append per event, and every digest is
+computed from those buffers.
+
+Flush points: :class:`AuditRecorder` is a round observer on
+:attr:`~repro.parallel.simulation.Simulation.observers`, so the strict
+in-process coordinator flushes closed windows at sync-round boundaries
+(:meth:`AuditRecorder.on_round`) and a fast run at run end.  Multiprocess
+children flush on telemetry heartbeats, piggyback the closed rows on the
 :class:`~repro.obs.telemetry.Heartbeat`, and ship their final digest plus
 zlib-compressed payload in the :class:`~repro.parallel.procrunner.ProcResult`
 so the parent's :class:`MpAuditCollector` can fold the exact root.
@@ -80,6 +86,12 @@ def chunk_digest(prev: str, epoch: int, chunk: str) -> str:
     return hashlib.sha256(f"{prev}|{epoch}|{chunk}".encode()).hexdigest()
 
 
+def timeline_digest(name: str, timestamps: List[int]) -> str:
+    """SHA-256 of one component's ``name:ts,ts,...;`` event timeline."""
+    payload = name + ":" + ",".join(map(str, timestamps)) + ";"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def fold_root(payloads: Dict[str, str]) -> str:
     """The golden fold: sha256 over payloads in sorted-name order.
 
@@ -119,9 +131,9 @@ class ComponentAuditor:
     """Streaming per-component window state.
 
     The hot path is :attr:`buf` ``.append`` — installed directly as (or
-    chained into) the kernel's per-event ``queue.trace`` hook, so auditing
-    costs exactly what the multiprocess ``digest=True`` path already
-    costs.  Window splitting, digest chaining, and payload accumulation
+    chained into) the kernel's per-event ``queue.trace`` hook, one list
+    append per event whether the run asked for a digest, a ledger, or
+    both.  Window splitting, digest chaining, and payload accumulation
     all happen in batch at flush points (sync rounds / heartbeats / run
     end) over the buffered, already-sorted timestamps.
     """
@@ -206,29 +218,27 @@ class ComponentAuditor:
         """The exact golden-fold payload: ``name:ts,ts,...;``."""
         return self.name + ":" + ",".join(self.chunks) + ";"
 
-    def digest(self) -> Optional[str]:
-        """Component timeline digest (None when no events executed).
-
-        Equals :func:`repro.parallel.procrunner.timeline_digest` over the
-        component's full timestamp list.
-        """
-        if not self.chunks:
-            return None
+    def timeline_digest(self) -> str:
+        """:func:`timeline_digest` of the finalized events (any count)."""
         return hashlib.sha256(self.payload().encode()).hexdigest()
+
+    def digest(self) -> Optional[str]:
+        """Timeline digest, None without events (the fold skips those)."""
+        return self.timeline_digest() if self.chunks else None
 
 
 class AuditRecorder:
     """In-process auditor over a :class:`~repro.parallel.simulation.Simulation`.
 
-    Attach via :meth:`Experiment.enable_audit` (which sets
-    ``Simulation.audit``); :meth:`start` installs a per-event trace hook
-    on every distinct event queue — one ``list.append`` per component in
-    strict mode (private queues), a dict-dispatch in fast mode (shared
-    queue) — *chaining* any pre-installed hook so the determinism guard's
-    own tracer keeps working with auditing on.  The strict coordinator
-    calls :meth:`on_round` every ``interval_rounds`` sync rounds to close
-    complete windows; :meth:`finish` restores the hooks and closes the
-    trailing windows.
+    A round observer: attach via :meth:`Experiment.enable_audit` (which
+    registers it on ``Simulation.observers``).  :meth:`start` installs a
+    per-event trace hook on every distinct event queue — one
+    ``list.append`` per component in strict mode (private queues), a
+    dict-dispatch in fast mode (shared queue) — *chaining* any
+    pre-installed hook so the determinism guard's own tracer keeps working
+    with auditing on.  :meth:`on_round` closes complete windows every
+    ``interval_rounds`` sync rounds; :meth:`finish` restores the hooks and
+    closes the trailing windows.
     """
 
     def __init__(self, components, window_ps: int = DEFAULT_WINDOW_PS,
@@ -245,7 +255,6 @@ class AuditRecorder:
             c.name: ComponentAuditor(c.name, window_ps)
             for c in self.components}
         self._installed: List[Tuple[object, Optional[Callable]]] = []
-        self.finished = False
 
     # -- hook management ---------------------------------------------------
 
@@ -286,16 +295,14 @@ class AuditRecorder:
             queue.trace = self._chain(fn, prev)
             self._installed.append((queue, prev))
 
-    def on_round(self) -> None:
+    def on_round(self, rounds: int, done: bool) -> None:
         """Strict-coordinator flush point: close complete windows."""
-        for auditor in self.auditors.values():
-            auditor.flush_closed()
+        if not rounds % self.interval_rounds:
+            for auditor in self.auditors.values():
+                auditor.flush_closed()
 
     def finish(self) -> None:
-        """Restore hooks and close the trailing windows."""
-        if self.finished:
-            return
-        self.finished = True
+        """Restore hooks and close the trailing windows (idempotent)."""
         for queue, prev in self._installed:
             queue.trace = prev
         self._installed = []

@@ -11,10 +11,11 @@ activity for network partitions).
 
 Sampling points:
 
-* **in-process strict mode** — :class:`TimelineRecorder` attached to a
-  :class:`~repro.parallel.simulation.Simulation`; the coordinator samples
-  every ``interval_rounds`` sync rounds (and once at completion), so all
-  components share one epoch counter.
+* **in-process strict mode** — :class:`TimelineRecorder` is one of the
+  round observers on
+  :attr:`~repro.parallel.simulation.Simulation.observers`; it samples
+  every ``interval_rounds`` coordinator rounds (and once at completion),
+  so all components share one epoch counter.
 * **multiprocess** — each child owns an :class:`EpochTracker` whose delta
   payload piggybacks on the telemetry heartbeats (plus one forced final
   beat); the parent's :class:`MpTimelineCollector` turns them into rows.
@@ -176,13 +177,13 @@ class _BoundedRows:
 
 
 class TimelineRecorder:
-    """Strict-mode in-process epoch sampler.
+    """Strict-mode in-process epoch sampler (a round observer).
 
-    Attach via :meth:`Experiment.enable_timeline` (which sets
-    ``Simulation.timeline``); the strict coordinator calls :meth:`start`
-    before its first round and :meth:`sample` every ``interval_rounds``
+    Attach via :meth:`Experiment.enable_timeline` (which registers it on
+    ``Simulation.observers``).  :meth:`start` takes the baseline;
+    :meth:`on_round` calls :meth:`sample` every ``interval_rounds``
     rounds plus once at completion.  All components share one epoch
-    counter because the coordinator samples them at the same boundary.
+    counter because they are sampled at the same round boundary.
     """
 
     def __init__(self, components, interval_rounds: int = 64,
@@ -213,6 +214,13 @@ class TimelineRecorder:
         self.until_ps = until_ps
         self._t0 = self._last_t = time.perf_counter()
         self._prev = {c.name: _comp_state(c) for c in self.components}
+
+    def on_round(self, rounds: int, done: bool) -> None:
+        if done or not rounds % self.interval_rounds:
+            self.sample()
+
+    def finish(self) -> None:
+        pass
 
     def sample(self) -> None:
         """Emit one row per component for the epoch that just ended."""

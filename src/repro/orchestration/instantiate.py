@@ -212,7 +212,7 @@ class Experiment:
             self.timeline = TimelineRecorder(
                 self.sim.components, interval_rounds=interval_rounds,
                 meta={"net_switches": self._net_switches()}, **kwargs)
-            self.sim.timeline = self.timeline
+            self.sim.observers.append(self.timeline)
         return self.timeline
 
     def enable_audit(self, window_ps: Optional[int] = None,
@@ -238,7 +238,7 @@ class Experiment:
                 meta={"system": self.system.spec.name
                       if hasattr(self.system, "spec")
                       and hasattr(self.system.spec, "name") else None})
-            self.sim.audit = self.audit
+            self.sim.observers.append(self.audit)
         return self.audit
 
     def save_audit(self, path: str) -> dict:
@@ -276,10 +276,10 @@ class Experiment:
 
     def profile_analysis(self, drop_head: int = 1,
                          drop_tail: int = 0) -> ProfileAnalysis:
-        """Post-process the profiler samples collected during the run."""
+        """Post-process the profiler samples collected during the run
+        (read-only: the sampler took its final snapshot at run end)."""
         if self.sampler is None:
             raise RuntimeError("build the instantiation with profile=True")
-        self.sampler.sample()  # final snapshot
         return analyze(self.sampler.log, drop_head=drop_head,
                        drop_tail=drop_tail)
 
@@ -514,7 +514,7 @@ class Instantiation:
         if self.profile:
             sampler = StrictModeSampler(sim.components,
                                         interval=self.profile_interval_rounds)
-            sim.round_hook = sampler.tick
+            sim.observers.append(sampler)
             exp.sampler = sampler
         if self.timeline:
             exp.enable_timeline(self.timeline_interval_rounds)

@@ -22,7 +22,6 @@ constructed inside the child process::
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing as mp
 import os
 import sys
@@ -93,25 +92,14 @@ class ProcResult:
     #: shm transport counters (frames/batches/bytes per direction, summed
     #: over this component's rings) plus the wire codec's fallback counts
     transport: dict = field(default_factory=dict)
-    #: SHA-256 of this component's event timeline (``name:ts,ts,...;``),
-    #: filled when the run was started with ``digest=True``
+    #: :func:`repro.obs.audit.timeline_digest` of this component's event
+    #: timeline, filled when the run was started with ``digest=True``
     timeline_digest: Optional[str] = None
     #: per-epoch audit ledger payload (rows + component digest +
     #: zlib-compressed timeline payload; see :mod:`repro.obs.audit`),
     #: filled when the run was started with ``audit_path``
     audit: Optional[dict] = None
     error: Optional[str] = None
-
-
-def timeline_digest(name: str, timestamps: List[int]) -> str:
-    """SHA-256 of one component's event timeline (``name:ts,ts,...;``).
-
-    Matches the encoding of the in-process determinism guard so strict
-    in-process runs and multiprocess runs can be compared component by
-    component.
-    """
-    payload = name + ":" + ",".join(map(str, timestamps)) + ";"
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _transport_stats(rings: List[ShmRing]) -> dict:
@@ -209,23 +197,6 @@ class _HeartbeatPump:
         self.maybe(commit, waiting=False)
 
 
-def _sample_counters(tracer, comp: Component) -> None:
-    """Emit one cumulative ``comp|``/``chan|`` sample (wall timestamps).
-
-    Children emit a baseline right after wiring and a final sample at the
-    end of the run, so trace-derived last-minus-first diffs cover exactly
-    the run — the same quantity the counter-based profiler reports.
-    """
-    tid = tracer.tid(comp.name)
-    ts = tracer.wall_us()
-    tracer.counter(tid, "comp", f"comp|{comp.name}", ts, {
-        "events": comp.events_processed,
-        "work_cycles": comp.work_cycles,
-    })
-    for end in comp.ends:
-        end.obs_sample(tracer, tid, ts, comp.name)
-
-
 def _child_main(spec: ProcSpec,
                 wiring: List[Tuple[str, str, str, str, str]],
                 until_ps: int, result_q, timeout_s: float,
@@ -242,6 +213,7 @@ def _child_main(spec: ProcSpec,
     auditor = None
     try:
         if trace_dir is not None:
+            from ..obs.install import sample_counters
             from ..obs.trace import Tracer
             tracer = Tracer(pid=index + 1, process_name=spec.name,
                             clock="wall")
@@ -263,30 +235,22 @@ def _child_main(spec: ProcSpec,
             end = _find_end(comp, end_name)
             end.wire(out_q=out_ring, in_q=in_ring, peer_name=peer)
             end.peer_comp_name = peer_comp
-        timeline: Optional[List[int]] = None
-        if audit_window_ps is not None:
-            from ..obs.audit import ComponentAuditor
-            auditor = ComponentAuditor(spec.name, audit_window_ps)
-        # Per-event hot path: bare list appends only; the auditor's window
-        # splitting happens in batch at heartbeat/run-end flush points.
-        if digest and auditor is not None:
-            timeline = []
-            tl_append, au_append = timeline.append, auditor.buf.append
-            comp.queue.trace = lambda owner, ts: (tl_append(ts),
-                                                  au_append(ts))
-        elif digest:
-            timeline = []
-            comp.queue.trace = lambda owner, ts: timeline.append(ts)
-        elif auditor is not None:
-            au_append = auditor.buf.append
-            comp.queue.trace = lambda owner, ts: au_append(ts)
+        audited = audit_window_ps is not None
+        if digest or audited:
+            from ..obs.audit import DEFAULT_WINDOW_PS, ComponentAuditor
+            auditor = ComponentAuditor(
+                spec.name, audit_window_ps if audited else DEFAULT_WINDOW_PS)
+            # Per-event hot path: one bare list append; window splitting
+            # happens in batch at heartbeat/run-end flush points.
+            append = auditor.buf.append
+            comp.queue.trace = lambda owner, ts: append(ts)
         t_start = time.perf_counter()
         run_start_us = 0.0
         if tracer is not None:
             run_start_us = tracer.wall_us()
             tracer.span(tracer.tid("lifecycle"), "proc", "setup",
                         0.0, run_start_us)
-            _sample_counters(tracer, comp)  # baseline for trace diffs
+            sample_counters(tracer, comp, tracer.wall_us())  # baseline
         pump = None
         if telemetry_q is not None or tracer is not None:
             pump = _HeartbeatPump(spec.name, telemetry_q, tracer, comp,
@@ -294,7 +258,7 @@ def _child_main(spec: ProcSpec,
             if epoch_timeline and telemetry_q is not None:
                 from ..obs.timeline import EpochTracker
                 pump.epoch_tracker = EpochTracker(comp)
-            if auditor is not None and telemetry_q is not None:
+            if audited and telemetry_q is not None:
                 pump.auditor = auditor
         mailbox = None
         if cmd_q is not None:
@@ -375,8 +339,11 @@ def _child_main(spec: ProcSpec,
                                  or pump.auditor is not None):
             pump.flush(commit)
         if auditor is not None:
-            from ..obs.audit import pack_payload
             auditor.finalize()
+        if digest:
+            result.timeline_digest = auditor.timeline_digest()
+        if audited:
+            from ..obs.audit import pack_payload
             result.audit = {
                 "rows": [r.to_wire() for r in auditor.rows],
                 "digest": auditor.digest(),
@@ -389,8 +356,6 @@ def _child_main(spec: ProcSpec,
         result.work_cycles = comp.work_cycles
         result.end_counters = {e.name: e.counters() for e in comp.ends}
         result.transport = _transport_stats(rings)
-        if timeline is not None:
-            result.timeline_digest = timeline_digest(spec.name, timeline)
         collect = getattr(comp, "collect_outputs", None)
         if collect is not None:
             result.outputs = collect()
@@ -400,12 +365,12 @@ def _child_main(spec: ProcSpec,
                         run_start_us, end_us - run_start_us,
                         {"events": result.events,
                          "wait_seconds": result.wait_seconds})
-            _sample_counters(tracer, comp)  # final sample (diff vs baseline)
+            sample_counters(tracer, comp, tracer.wall_us())  # final sample
             tracer.save_jsonl(os.path.join(trace_dir,
                                            f"{spec.name}.trace.jsonl"))
     except Exception as exc:  # pragma: no cover - error path
         result.error = f"{type(exc).__name__}: {exc}"
-        if auditor is not None:
+        if auditor is not None and audit_window_ps is not None:
             # ship what closed before the failure: the parent keeps a
             # partial ledger (null root) instead of losing localization
             auditor.flush_closed()

@@ -15,6 +15,13 @@ and runs them to a simulated end time.  Two execution modes exist:
   blocking.  Use this to exercise/validate the protocol and to collect
   wait counters for the profiler.
 
+Everything that samples a run — the profiler, trace counter tracks, the
+epoch timeline, the audit ledger — is a *round observer* on
+:attr:`Simulation.observers`: ``start(until_ps)`` before the first event,
+``on_round(rounds, done)`` after every strict coordinator round (``done``
+only on the last; no event is mid-flight there, and each observer applies
+its own interval) and ``finish()`` after the run.  Fast mode has no rounds.
+
 Real multi-process execution lives in :mod:`repro.parallel.procrunner`; the
 virtual-time performance model in :mod:`repro.parallel.model`.
 """
@@ -124,22 +131,12 @@ class Simulation:
         self.recorder: Optional[WorkRecorder] = None
         if work_window_ps is not None:
             self.recorder = WorkRecorder(work_window_ps)
-        #: called once per strict-mode coordinator round (profiler sampling)
-        self.round_hook = None
+        #: round observers, called in registration order (see the module
+        #: docstring for the ``start``/``on_round``/``finish`` protocol)
+        self.observers: List = []
         #: observability tracer (``None`` = disabled); install via
         #: :func:`repro.obs.install.install_tracer`, never directly.
         self.obs = None
-        #: strict-mode counter-track sampling period, in coordinator rounds
-        self.obs_interval = 64
-        #: epoch-timeline recorder (``None`` = disabled); attach via
-        #: :meth:`Experiment.enable_timeline`.  Strict mode only: the
-        #: sampler reads counters at sync-round boundaries.
-        self.timeline = None
-        #: per-epoch digest ledger recorder (``None`` = disabled); attach
-        #: via :meth:`Experiment.enable_audit`.  Works in both modes:
-        #: epochs are fixed simulated-time windows, flushed at sync-round
-        #: boundaries in strict mode and at run end in fast mode.
-        self.audit = None
         self._wired = False
 
     # -- assembly ----------------------------------------------------------
@@ -244,9 +241,8 @@ class Simulation:
 
     def _run_fast(self, until_ps: int) -> int:
         queue = self._shared_queue
-        audit = self.audit
-        if audit is not None:
-            audit.start(until_ps)
+        for observer in self.observers:
+            observer.start(until_ps)
         for c in self.components:
             c._started = True
             c.start()
@@ -256,25 +252,17 @@ class Simulation:
         for c in self.components:
             if c.now < until_ps:
                 c.now = until_ps
-        if audit is not None:
-            audit.finish()
+        for observer in self.observers:
+            observer.finish()
         return steps
 
     def _run_strict(self, until_ps: int) -> int:
         comps = self.components
         commits = {c.name: -1 for c in comps}
         rounds = 0
-        obs = self.obs
-        if obs is not None:
-            from ..obs.install import sample_strict_round
-            # t=0 baseline sample: trace-derived diffs then cover the run
-            sample_strict_round(self, obs, 0, until_ps)
-        timeline = self.timeline
-        if timeline is not None:
-            timeline.start(until_ps)
-        audit = self.audit
-        if audit is not None:
-            audit.start(until_ps)
+        observers = self.observers
+        for observer in observers:
+            observer.start(until_ps)
         while True:
             progressed = False
             done = True
@@ -290,18 +278,11 @@ class Simulation:
                     for end in c.blocking_ends():
                         end.note_wait(POLL_COST_CYCLES)
             rounds += 1
-            if self.round_hook is not None:
-                self.round_hook()
-            if obs is not None and (done or not rounds % self.obs_interval):
-                sample_strict_round(self, obs, rounds, until_ps)
-            if timeline is not None and (done or not rounds
-                                         % timeline.interval_rounds):
-                timeline.sample()
-            if audit is not None and not rounds % audit.interval_rounds:
-                audit.on_round()
+            for observer in observers:
+                observer.on_round(rounds, done)
             if done:
-                if audit is not None:
-                    audit.finish()
+                for observer in observers:
+                    observer.finish()
                 return rounds
             if not progressed:
                 detail = ", ".join(

@@ -5,8 +5,9 @@ The counters themselves live on :class:`~repro.channels.channel.ChannelEnd`
 them.  Three sources produce :class:`~repro.profiler.records.ProfileLog`
 data:
 
-* :class:`StrictModeSampler` — hooks the in-process strict-sync coordinator
-  and snapshots counters every N rounds (modeled cycle counts).
+* :class:`StrictModeSampler` — a round observer (``Simulation.observers``)
+  of the in-process strict-sync coordinator: snapshots counters every N
+  rounds and at run end (modeled cycle counts).
 * :func:`sample_component` — one snapshot of a live component; the
   multi-process runner calls this in each child (real nanosecond waits).
 * :func:`log_from_model` — converts a virtual-time
@@ -49,7 +50,8 @@ def sample_component(comp: Component, log: ProfileLog,
 class StrictModeSampler:
     """Periodically samples all components of an in-process simulation.
 
-    Call :meth:`tick` from the driving loop; every ``interval`` ticks a
+    A round observer: register it on ``Simulation.observers``.  Every
+    ``interval`` coordinator rounds, and once in :meth:`finish`, a
     snapshot of every component is appended to the log.
     """
 
@@ -59,13 +61,17 @@ class StrictModeSampler:
         self.components = list(components)
         self.interval = interval
         self.log = ProfileLog()
-        self._ticks = 0
 
-    def tick(self) -> None:
-        """Advance the sampling countdown by one coordinator round."""
-        self._ticks += 1
-        if self._ticks % self.interval == 0:
+    def start(self, until_ps: int) -> None:
+        pass
+
+    def on_round(self, rounds: int, done: bool) -> None:
+        if not rounds % self.interval:
             self.sample()
+
+    def finish(self) -> None:
+        """Final snapshot: the log's last-minus-first diffs cover the run."""
+        self.sample()
 
     def sample(self) -> None:
         """Take one snapshot of every component immediately."""

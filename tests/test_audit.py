@@ -19,9 +19,10 @@ from repro.obs.audit import (AUDIT_FILE, AUDIT_KIND, AUDIT_SCHEMA,
                              AuditRecorder, ComponentAuditor,
                              DIFF_DIVERGED, DIFF_IDENTICAL,
                              DIFF_INCOMPARABLE, chunk_digest, diff_ledgers,
-                             fold_root, load_audit, resolve_audit_path)
+                             fold_root, load_audit, resolve_audit_path,
+                             timeline_digest)
 from repro.orchestration.instantiate import Instantiation
-from repro.parallel.procrunner import ProcessRunner, timeline_digest
+from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Simulation
 
 from .test_determinism_guard import DURATION, GOLDEN_DIGEST
@@ -203,7 +204,7 @@ def _pipeline_recorder(n=3, until_ps=UNTIL_PS, window_ps=WINDOW,
         comps[comp].start = start
     sim._wire()
     rec = AuditRecorder(comps, window_ps=window_ps)
-    sim.audit = rec
+    sim.observers.append(rec)
     sim._run_strict(until_ps)
     return rec
 

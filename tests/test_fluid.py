@@ -207,7 +207,7 @@ MP_DURATION = 3 * MS
 
 
 def _inproc_strict_digests(fidelity):
-    from repro.parallel.procrunner import timeline_digest
+    from repro.obs.audit import timeline_digest
     exp = Instantiation(two_rack_system(), mode="strict",
                         network_partition=RACK_SPLIT,
                         fidelity=fidelity).build()

@@ -324,7 +324,7 @@ def test_timeline_dropped_rows_surface_as_warning(tmp_path, capsys):
     sim.connect(comps[1].next, comps[0].prev)
     sim._wire()
     rec = TimelineRecorder(comps, interval_rounds=1, max_rows=4)
-    sim.timeline = rec
+    sim.observers.append(rec)
     sim._run_strict(100 * US)
     assert rec.dropped > 0
     path = tmp_path / "timeline.jsonl"

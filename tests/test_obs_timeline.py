@@ -13,7 +13,8 @@ from repro.obs.timeline import (EpochRow, ROW_COLUMNS, TIMELINE_KIND,
                                 resolve_timeline_path, save_timeline)
 from repro.orchestration.instantiate import Instantiation
 from repro.orchestration.system import System
-from repro.parallel.procrunner import ProcessRunner, timeline_digest
+from repro.obs.audit import timeline_digest
+from repro.parallel.procrunner import ProcessRunner
 from repro.parallel.simulation import Simulation
 
 GBPS = 1e9
@@ -141,7 +142,7 @@ def test_load_rejects_malformed_documents(tmp_path):
 def test_recorder_bounds_rows_and_counts_drops(tmp_path):
     sim, comps = _pipeline_sim(2)
     rec = TimelineRecorder(comps, interval_rounds=1, max_rows=4)
-    sim.timeline = rec
+    sim.observers.append(rec)
     sim._run_strict(UNTIL_PS)
     assert len(rec.rows) == 4
     assert rec.dropped > 0
@@ -169,7 +170,7 @@ def _strict_digests(with_timeline):
     rec = None
     if with_timeline:
         rec = TimelineRecorder(comps, interval_rounds=4)
-        sim.timeline = rec
+        sim.observers.append(rec)
     sim._run_strict(UNTIL_PS)
     digests = {name: timeline_digest(name, tl)
                for name, tl in timelines.items()}

@@ -145,6 +145,17 @@ def test_profile_flag_collects_and_analyzes():
     assert graph.number_of_nodes() >= 2
 
 
+def test_profile_analysis_is_repeatable():
+    """Post-processing reads the log; it never adds a snapshot."""
+    exp = Instantiation(kv_system(), profile=True,
+                        profile_interval_rounds=50).build()
+    exp.run(1 * MS)
+    records = len(exp.sampler.log)
+    first = exp.profile_analysis()
+    assert exp.profile_analysis() == first
+    assert len(exp.sampler.log) == records
+
+
 def test_profile_analysis_requires_flag():
     exp = Instantiation(kv_system()).build()
     exp.run(1 * MS)

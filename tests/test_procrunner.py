@@ -1,5 +1,7 @@
 """Integration tests for the real multi-process runtime."""
 
+import hashlib
+
 import pytest
 
 from repro.channels.channel import ChannelEnd
@@ -80,6 +82,18 @@ def test_mp_reports_counters_and_waits():
     assert ca["tx_msgs"] > 0
     assert ca["tx_syncs"] > 0
     assert results["a"].wall_seconds > 0
+
+
+def test_digest_of_component_without_events():
+    """A child that executes no event still reports ``sha256("name:;")``."""
+    from repro.bench.mp import pipeline_specs
+    specs, channels = pipeline_specs(2, tokens=0)
+    results = ProcessRunner(specs, channels).run(10 * US, digest=True)
+    for name, res in results.items():
+        assert res.events == 0
+        assert res.timeline_digest == hashlib.sha256(
+            f"{name}:;".encode()).hexdigest()
+        assert res.audit is None  # digest alone records no ledger
 
 
 def test_duplicate_names_rejected():

@@ -167,7 +167,7 @@ def test_sampler_interval_one_samples_every_tick():
     comp = _one_end_component()
     sampler = StrictModeSampler([comp], interval=1)
     for _ in range(7):
-        sampler.tick()
+        sampler.on_round(_ + 1, False)
     # one record per adapter per tick
     assert len(sampler.log) == 7
 
@@ -176,16 +176,16 @@ def test_sampler_interval_skips_between_samples():
     comp = _one_end_component()
     sampler = StrictModeSampler([comp], interval=10)
     for _ in range(9):
-        sampler.tick()
+        sampler.on_round(_ + 1, False)
     assert len(sampler.log) == 0
-    sampler.tick()
+    sampler.on_round(10, False)
     assert len(sampler.log) == 1
 
 
 def test_sampler_with_no_components_is_a_noop():
     sampler = StrictModeSampler([], interval=1)
     for _ in range(100):
-        sampler.tick()
+        sampler.on_round(_ + 1, False)
     sampler.sample()
     assert len(sampler.log) == 0
     assert sampler.log.components() == []

@@ -74,6 +74,48 @@ def test_strict_mode_counts_waits():
     assert a.end.wait_polls + b.end.wait_polls > 0
 
 
+class RecordingObserver:
+    """Round observer that logs every protocol call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def start(self, until_ps):
+        self.calls.append(("start", until_ps))
+
+    def on_round(self, rounds, done):
+        self.calls.append(("round", rounds, done))
+
+    def finish(self):
+        self.calls.append(("finish",))
+
+
+def _observed_pingpong(mode, until_ps=50 * US):
+    sim = Simulation(mode=mode)
+    a = sim.add(Pinger("a", initiator=True))
+    b = sim.add(Pinger("b"))
+    sim.connect(a.end, b.end)
+    observer = RecordingObserver()
+    sim.observers.append(observer)
+    return observer, sim.run(until_ps)
+
+
+def test_strict_observer_sees_start_every_round_then_finish():
+    observer, stats = _observed_pingpong("strict")
+    assert stats.rounds > 1
+    calls = observer.calls
+    assert calls[0] == ("start", 50 * US)
+    assert calls[1:-1] == [("round", r, r == stats.rounds)
+                           for r in range(1, stats.rounds + 1)]
+    assert calls[-1] == ("finish",)
+
+
+def test_fast_observer_sees_only_start_and_finish():
+    observer, stats = _observed_pingpong("fast")
+    assert stats.events > 0
+    assert observer.calls == [("start", 50 * US), ("finish",)]
+
+
 def test_duplicate_component_name_rejected():
     sim = Simulation()
     sim.add(Component("x"))
