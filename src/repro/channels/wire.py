@@ -29,6 +29,10 @@ failures from out-of-range field values (negative addresses, huge ints)
 transparently fall back to the pickle frame, so the codec never restricts
 what a message may carry — it only accelerates the common case.
 
+Frames that do not decode (truncated, corrupt, or carrying an unknown tag)
+raise :class:`WireError`; :func:`decode` never hands back a message built
+from a short frame.
+
 The codec can be disabled globally (``SPLITSIM_WIRE_PICKLE=1`` or
 :func:`set_codec_enabled`), which forces every frame through the pickle
 tag; the determinism tests run the multiprocess transport both ways and
@@ -104,6 +108,11 @@ _TAIL_PICKLE = b"\x02"
 #: Codec switch, shared with forked children (mutate, don't rebind).
 _CODEC = [os.environ.get("SPLITSIM_WIRE_PICKLE", "") not in ("1", "true")]
 
+
+class WireError(ValueError):
+    """A frame that cannot be decoded: truncated, corrupt, or unknown tag."""
+
+
 # Fallback counters (per process; children report them via ProcResult).
 _msg_pickles = 0
 _payload_pickles = 0
@@ -160,9 +169,12 @@ def _unpack_tail(buf: bytes, off: int) -> Tuple[Any, int]:
         return None, off
     (length,) = _LEN32.unpack_from(buf, off)
     off += 4
-    blob = buf[off:off + length]
-    off += length
-    return (blob if kind == 1 else pickle.loads(blob)), off
+    end = off + length
+    if end > len(buf):
+        raise WireError(f"truncated frame: {length}-byte tail at offset "
+                        f"{off} of a {len(buf)}-byte frame")
+    blob = buf[off:end]
+    return (blob if kind == 1 else pickle.loads(blob)), end
 
 
 def _pack_str(s: str) -> bytes:
@@ -175,7 +187,11 @@ def _pack_str(s: str) -> bytes:
 def _unpack_str(buf: bytes, off: int) -> Tuple[str, int]:
     length = buf[off]
     off += 1
-    return buf[off:off + length].decode("ascii"), off + length
+    end = off + length
+    if end > len(buf):
+        raise WireError(f"truncated frame: {length}-byte string at offset "
+                        f"{off} of a {len(buf)}-byte frame")
+    return buf[off:end].decode("ascii"), end
 
 
 # -- per-class codecs --------------------------------------------------------
@@ -227,15 +243,10 @@ def _enc_eth(m: EthMsg, p: int) -> bytes:
 def _dec_eth(buf: bytes, off: int) -> EthMsg:
     stamp, seq, flow, hop = _S_BASE.unpack_from(buf, off)
     off += _S_BASE.size
-    kind = buf[off]
+    if buf[off] != 1:  # no packet, or a pickled non-Packet tail
+        packet, _ = _unpack_tail(buf, off)
+        return EthMsg(stamp, seq, flow, hop, packet)
     off += 1
-    if kind == 0:
-        return EthMsg(stamp, seq, flow, hop, None)
-    if kind == 2:
-        (length,) = _LEN32.unpack_from(buf, off)
-        off += 4
-        return EthMsg(stamp, seq, flow, hop,
-                      pickle.loads(buf[off:off + length]))
     (src, dst, size_bytes, src_port, dst_port, pseq, ack, wnd, data_len,
      ecn, residence_ps, arrival_ts, create_ts, hops,
      uid, pflow) = _S_PACKET.unpack_from(buf, off)
@@ -435,9 +446,26 @@ def encode(msg: Msg, promise: int = 0) -> bytes:
     return _HDR.pack(TAG_PICKLE, promise) + pickle.dumps(msg, _PROTO)
 
 
+#: What a short or corrupt frame makes the decoders raise.
+_DECODE_ERRORS = (struct.error, IndexError, KeyError, EOFError, ValueError,
+                  pickle.UnpicklingError)
+
+
 def decode(buf: bytes) -> Tuple[Msg, int]:
-    """Deserialize one frame; returns ``(message, promise)``."""
-    tag, promise = _HDR.unpack_from(buf, 0)
-    if tag == TAG_PICKLE:
-        return pickle.loads(buf[_HDR_SIZE:]), promise
-    return _DECODERS[tag](buf, _HDR_SIZE), promise
+    """Deserialize one frame; returns ``(message, promise)``.
+
+    Raises :class:`WireError` for a truncated or corrupt frame and for an
+    unknown tag.
+    """
+    try:
+        tag, promise = _HDR.unpack_from(buf, 0)
+        if tag == TAG_PICKLE:
+            return pickle.loads(buf[_HDR_SIZE:]), promise
+        return _DECODERS[tag](buf, _HDR_SIZE), promise
+    except WireError:
+        raise
+    except _DECODE_ERRORS as exc:
+        if buf and buf[0] != TAG_PICKLE and buf[0] not in _DECODERS:
+            raise WireError(f"unknown frame tag 0x{buf[0]:02x}") from None
+        raise WireError(f"undecodable {len(buf)}-byte frame: "
+                        f"{type(exc).__name__}: {exc}") from exc

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
@@ -131,8 +131,11 @@ class TopoSpec:
             [l.endpoints() for l in self.links],
         )
 
-    def fib(self) -> Dict[str, Dict[int, Set[str]]]:
-        """Globally computed forwarding state for every switch."""
+    def fib(self) -> Dict[str, Dict[int, FrozenSet[str]]]:
+        """Globally computed forwarding state for every switch.
+
+        Next-hop sets are shared frozensets (see :mod:`.routing`).
+        """
         return compute_fib(self.graph(),
                            {h.name: h.addr for h in self.hosts.values()})
 
@@ -203,18 +206,29 @@ def instantiate(spec: TopoSpec, name: str = "net", flavor: str = "ns3",
 
 def _install_fib(spec: TopoSpec, switch_net: Dict[str, NetworkSim],
                  port_map: Dict[Tuple[str, str], object]) -> None:
-    """Install globally-computed routes into instantiated switches."""
+    """Install globally-computed routes into instantiated switches.
+
+    ECMP ports go in sorted next-hop order.  The FIB shares one next-hop
+    set across many destinations, so each distinct set is resolved to its
+    port list once per switch.
+    """
     fib = spec.fib()
     for sw_name, routes in fib.items():
         net = switch_net.get(sw_name)
         if net is None:
             continue
         switch = net.nodes[sw_name]
+        ports_of: Dict[FrozenSet[str], List[object]] = {}
         for addr, next_hops in routes.items():
-            for hop in sorted(next_hops):
-                port = port_map.get((sw_name, hop))
-                if port is None:
-                    raise RuntimeError(f"no port for {sw_name} -> {hop}")
+            ports = ports_of.get(next_hops)
+            if ports is None:
+                ports = ports_of[next_hops] = []
+                for hop in sorted(next_hops):
+                    port = port_map.get((sw_name, hop))
+                    if port is None:
+                        raise RuntimeError(f"no port for {sw_name} -> {hop}")
+                    ports.append(port)
+            for port in ports:
                 switch.add_route(addr, port)
 
 

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from ..kernel.simtime import SEC, parse_time
 from ..orchestration.instantiate import Instantiation
-from ..orchestration.strategies import STRATEGIES
+from ..orchestration.strategies import STRATEGIES, partition_from_file
 from ..orchestration.system import System
 from ..profiler.wtpg import build_wtpg, save_dot, to_text
 
@@ -133,12 +133,55 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
 
+def _check_flags(args) -> Optional[str]:
+    """Validate flag values before any config code runs.
+
+    Returns an error message, or ``None`` when every flag is usable.
+    Converts ``--audit-window`` to picoseconds in place.
+    """
+    if args.partition and args.partition not in STRATEGIES:
+        return f"unknown partition strategy {args.partition!r}"
+    if args.partition_file:
+        if args.partition:
+            return "--partition-file and --partition are mutually exclusive"
+        try:
+            partition_from_file(args.partition_file)
+        except (OSError, ValueError) as exc:
+            return str(exc)
+    if args.flows is not None and args.flows < 1:
+        return "--flows needs a sampling divisor >= 1"
+    if args.audit_window is not None:
+        try:
+            args.audit_window = parse_time(args.audit_window)
+        except ValueError as exc:
+            return f"--audit-window: {exc}"
+        if args.audit_window <= 0:
+            return "--audit-window must be positive"
+    if args.duration is not None:
+        try:
+            if parse_time(args.duration) < 0:
+                return "--duration must not be negative"
+        except ValueError as exc:
+            return f"--duration: {exc}"
+    return None
+
+
 def _cli_main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _check_flags(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     try:
         module = load_config(args.config)
     except (FileNotFoundError, AttributeError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    duration_text = args.duration or getattr(module, "DURATION", "10ms")
+    try:
+        duration = parse_time(duration_text)
+    except ValueError as exc:  # only the config's DURATION can still be bad
+        print(f"error: DURATION in {args.config}: {exc}", file=sys.stderr)
         return 1
 
     system = module.build()
@@ -149,27 +192,13 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
     inst_kwargs = dict(getattr(module, "INSTANTIATION", {}))
     inst_kwargs.setdefault("mode", args.mode)
     if args.partition:
-        if args.partition not in STRATEGIES:
-            print(f"error: unknown partition strategy {args.partition!r}",
-                  file=sys.stderr)
-            return 1
         inst_kwargs["network_partition"] = STRATEGIES[args.partition]
     if args.partition_file:
-        if args.partition:
-            print("error: --partition-file and --partition are mutually "
-                  "exclusive", file=sys.stderr)
-            return 1
         inst_kwargs["partition_file"] = args.partition_file
     if args.profile or args.profile_out:
         inst_kwargs["profile"] = True
     if args.timeline is not None and not args.control:
         inst_kwargs["timeline"] = True
-    if args.audit_window is not None:
-        try:
-            args.audit_window = parse_time(args.audit_window)
-        except ValueError as exc:
-            print(f"error: --audit-window: {exc}", file=sys.stderr)
-            return 1
     if args.audit is not None and not args.control:
         inst_kwargs["audit"] = True
         if args.audit_window is not None:
@@ -177,21 +206,14 @@ def _cli_main(argv: Optional[List[str]] = None) -> int:
     if args.trace or args.profile_out:
         inst_kwargs.setdefault("trace", True)
     if args.flows is not None:
-        if args.flows < 1:
-            print("error: --flows needs a sampling divisor >= 1",
-                  file=sys.stderr)
-            return 1
         inst_kwargs["flow_sample"] = args.flows
         if not (args.trace or args.profile_out):
             args.trace = "trace.json"  # flow records only live in the trace
 
-    duration_text = args.duration or getattr(module, "DURATION", "10ms")
-    duration = parse_time(duration_text)
-
     try:
         exp = Instantiation(system, **inst_kwargs).build()
     except (OSError, ValueError) as exc:
-        # e.g. a missing/malformed --partition-file document
+        # e.g. a partition that does not fit the config's topology
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -216,3 +216,51 @@ def test_cli_partition_file_missing_errors(tmp_path, capsys):
     assert main([path, "--partition-file",
                  str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+# -- flag validation happens before the config's build() -----------------------
+
+BUILD_MUST_NOT_RUN = '''
+DURATION = "1ms"
+
+
+def build():
+    raise AssertionError("build() ran despite a bad flag")
+'''
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--duration", "10xs"], "--duration"),
+    (["--duration=-1ms"], "--duration must not be negative"),
+    (["--partition", "magic"], "unknown partition"),
+    (["--partition", "rs", "--partition-file", "p.json"],
+     "mutually exclusive"),
+    (["--partition-file", "missing.json"], "missing.json"),
+    (["--flows", "0"], "divisor"),
+    (["--audit", "--audit-window", "64"], "--audit-window"),
+    (["--audit", "--audit-window", "0us"], "--audit-window must be positive"),
+])
+def test_cli_bad_flag_fails_before_build(tmp_path, capsys, monkeypatch,
+                                         flags, message):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, BUILD_MUST_NOT_RUN)
+    assert main([path] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+
+
+def test_cli_bad_config_duration_fails_before_build(tmp_path, capsys):
+    path = write_config(tmp_path, BUILD_MUST_NOT_RUN.replace('"1ms"',
+                                                             '"soon"'))
+    assert main([path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DURATION")
+
+
+def test_cli_malformed_partition_file_fails_before_build(tmp_path, capsys):
+    bad = tmp_path / "partition.json"
+    bad.write_text('{"kind": "something-else"}')
+    path = write_config(tmp_path, BUILD_MUST_NOT_RUN)
+    assert main([path, "--partition-file", str(bad)]) == 1
+    assert "not a partition document" in capsys.readouterr().err

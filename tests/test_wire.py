@@ -222,3 +222,91 @@ def test_flow_fields_ride_the_struct_fast_path(msg, promise):
     assert msgs_equal(out, msg) and p == promise
     if isinstance(msg, EthMsg) and msg.packet is not None:
         assert out.packet.flow == msg.packet.flow
+
+
+# -- malformed frames ----------------------------------------------------------
+
+class TaggedPacket(Packet):
+    """A Packet subclass: rides the wire as a pickled tail."""
+
+    __slots__ = ()
+
+
+def _full_packet(payload, cls=Packet):
+    return cls(src=1, dst=2, size_bytes=1500, proto="tcp", src_port=10,
+                  dst_port=20, seq=3, ack=4, flags="SA", wnd=5, data_len=6,
+                  ect=True, payload=payload, hops=2, uid=9, flow=11)
+
+
+#: At least one frame per registered class (every tail kind, a nested
+#: trunk) plus both whole-message pickle fallbacks.
+MALFORMED_CASES = [
+    Msg(stamp=1, seq=2, flow=3, hop=4),
+    SyncMsg(stamp=5),
+    EthMsg(stamp=6, packet=None),
+    EthMsg(stamp=6, packet=_full_packet(b"\x01" * 40)),
+    EthMsg(stamp=6, packet=_full_packet({"not": "bytes"})),
+    EthMsg(stamp=6, packet=_full_packet(None)),
+    EthMsg(stamp=6, packet=_full_packet(b"x", TaggedPacket)),
+    MmioMsg(stamp=7, addr=8, value=9, is_write=True, req_id=10),
+    MmioRespMsg(stamp=7, value=9, req_id=10),
+    DmaReadMsg(stamp=11, addr=12, length=13, req_id=14),
+    DmaWriteMsg(stamp=11, addr=12, data=b"dma-data", length=8, req_id=14),
+    DmaWriteMsg(stamp=11, addr=12, data=None, length=0, req_id=14),
+    DmaCompletionMsg(stamp=15, data=b"done", length=4, req_id=16),
+    InterruptMsg(stamp=17, vector=18),
+    MemReadMsg(stamp=19, addr=20, length=21, req_id=22),
+    MemWriteMsg(stamp=19, addr=20, length=3, req_id=22, data=b"abc"),
+    MemRespMsg(stamp=23, req_id=24, data=b"resp", is_write=False),
+    MemInvalidateMsg(stamp=25, addr=26),
+    TrunkMsg(stamp=27, subchannel=1, inner=None),
+    TrunkMsg(stamp=27, subchannel=1,
+             inner=EthMsg(stamp=28, packet=_full_packet(b"in"))),
+    RawMsg(stamp=29, payload=b"raw"),
+    RawMsg(stamp=29, payload=("pickled", 1)),
+    CustomMsg(stamp=30, payload=b"custom"),
+    MmioMsg(stamp=31, addr=-1),
+]
+
+
+def test_malformed_cases_cover_every_class():
+    covered = {type(m) for m in MALFORMED_CASES}
+    assert set(wire.TAGS) <= covered
+    assert any(wire.encode(m)[0] == wire.TAG_PICKLE for m in MALFORMED_CASES)
+
+
+def test_truncated_frames_raise_wire_error():
+    """A frame cut at any offset raises WireError and never a message."""
+    for msg in MALFORMED_CASES:
+        frame = wire.encode(msg, 42)
+        out, _ = wire.decode(frame)
+        assert msgs_equal(out, msg)
+        for cut in range(len(frame)):
+            try:
+                got = wire.decode(frame[:cut])
+            except wire.WireError:
+                continue
+            raise AssertionError(f"{type(msg).__name__} cut at {cut}/"
+                                 f"{len(frame)} decoded to {got!r}")
+
+
+def test_unknown_tag_raises_wire_error():
+    frame = bytearray(wire.encode(Msg(stamp=1)))
+    frame[0] = 0x7E
+    try:
+        wire.decode(bytes(frame))
+    except wire.WireError as exc:
+        assert "unknown frame tag 0x7e" in str(exc)
+    else:
+        raise AssertionError("unknown tag decoded")
+
+
+def test_corrupt_pickle_frame_raises_wire_error():
+    frame = wire.encode(CustomMsg(stamp=1, payload=b"x"))
+    bad = frame[:wire._HDR_SIZE] + b"\x80\x05garbage."
+    try:
+        wire.decode(bad)
+    except wire.WireError:
+        pass
+    else:
+        raise AssertionError("corrupt pickle decoded")
